@@ -55,7 +55,7 @@ trace:
 	$(GO) run ./cmd/report -validate-trace trace.jsonl
 	$(GO) run ./cmd/report -timings trace.jsonl
 
-# The benchmark-regression gate measures a fixed set of kernel
+# The benchmark-regression gate measures a fixed set of kernel and cold-path
 # benchmarks (stable, single-process) with min-of-5 sampling and
 # -benchmem, then compares the result against the committed baseline:
 # ns/op within a 20% noise budget, allocs/op with zero tolerance
@@ -63,7 +63,7 @@ trace:
 # refresh the baseline after an intentional performance change:
 # `make bench-baseline` on the reference hardware and commit
 # BENCH_BASELINE.json (see README "Benchmark regression gate").
-BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkRecommendK|BenchmarkTrainBatchSuiteScale|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged)$$
+BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkRecommendK|BenchmarkTrainBatchSuiteScale|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkPipelineBare|BenchmarkTrainSequentialSuiteScale)$$
 
 bench-json:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt

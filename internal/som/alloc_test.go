@@ -22,6 +22,26 @@ func TestBMUAllocationFree(t *testing.T) {
 	}
 }
 
+// TestSequentialStepAllocationFree pins one steady-state sequential
+// training step — the BMU scan plus the neighbourhood update with its
+// per-step kernel table — at zero heap allocations. The kernel table
+// is allocated once per Train call, like the trainer does.
+func TestSequentialStepAllocationFree(t *testing.T) {
+	samples := benchSamples(14, 160)
+	m, err := Train(Config{Rows: 5, Cols: 4, Steps: 500, Seed: 1}, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern := m.newKernelTable()
+	x := samples[5]
+	if avg := testing.AllocsPerRun(200, func() {
+		u, _ := m.bmu(x)
+		m.updateNeighbourhood(x, u/m.cols, u%m.cols, 0.1, 2.5, kern)
+	}); avg != 0 {
+		t.Errorf("sequential step: %v allocs/op, want 0", avg)
+	}
+}
+
 // TestBatchEpochAllocationFree pins one steady-state batch-training
 // epoch at zero heap allocations: the batchRun arena is allocated once
 // per Train call and every epoch reuses it.

@@ -49,7 +49,7 @@ type Config struct {
 	// back to random when the data cannot support a PCA plane).
 	Init InitMode
 	// SigmaFinal is the neighbourhood radius at the end of training.
-	// Zero means the package floor (0.75). Larger values keep the
+	// Zero means the package floor (0.35). Larger values keep the
 	// weight surface smoother, which limits how much grid area a
 	// tight blob of samples can claim.
 	SigmaFinal float64
@@ -278,6 +278,14 @@ func (m *Map) bmu(x vecmath.Vector) (unit int, sqDist float64) {
 // Euclidean arithmetic as vecmath.SquaredEuclidean in the same
 // element order (so the winner — and training — is bit-identical),
 // without per-unit slice-header loads or length asserts.
+//
+// Units are scored four at a time in one pass over x, each into its
+// own accumulator. Every sum is still its own unit's squares added in
+// element order, so each distance is exactly the one-unit scan's; the
+// four chains only break the serial add dependency that bounds a
+// single-chain scan. The sums are compared in unit order with strict
+// <, which keeps the lowest-index tie-break and NaN handling. Leftover
+// units (fewer than four) take the one-unit loop.
 func (m *Map) bmuBrute(x vecmath.Vector) (unit int, sqDist float64) {
 	dim := m.dim
 	if len(x) != dim {
@@ -285,7 +293,38 @@ func (m *Map) bmuBrute(x vecmath.Vector) (unit int, sqDist float64) {
 	}
 	flat := m.flat
 	best, bestDist := 0, math.Inf(1)
-	for u, off := 0, 0; off < len(flat); u, off = u+1, off+dim {
+	u, off := 0, 0
+	for ; off < len(flat)-3*dim; u, off = u+4, off+4*dim {
+		w0 := flat[off : off+dim]
+		w1 := flat[off+dim : off+2*dim]
+		w2 := flat[off+2*dim : off+3*dim]
+		w3 := flat[off+3*dim : off+4*dim]
+		w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for i, xi := range x {
+			d0 := xi - w0[i]
+			d1 := xi - w1[i]
+			d2 := xi - w2[i]
+			d3 := xi - w3[i]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		if s0 < bestDist {
+			best, bestDist = u, s0
+		}
+		if s1 < bestDist {
+			best, bestDist = u+1, s1
+		}
+		if s2 < bestDist {
+			best, bestDist = u+2, s2
+		}
+		if s3 < bestDist {
+			best, bestDist = u+3, s3
+		}
+	}
+	for ; off < len(flat); u, off = u+1, off+dim {
 		w := flat[off : off+dim]
 		sum := 0.0
 		for i, xi := range x {

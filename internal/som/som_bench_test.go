@@ -20,6 +20,13 @@ func benchSamplesExact(n, dim int) []vecmath.Vector {
 	return samples[:n]
 }
 
+// BenchmarkTrainSequentialSuiteScale times a whole sequential Train
+// call, PCA initialization included, so it is not a trainer benchmark:
+// pca.FitTop does not converge on this two-blob data, and initPCA then
+// runs the exact Jacobi fallback (pca.Fit). Initialization takes about
+// three quarters of the time: the fallback more than half, the failed
+// FitTop most of the rest. BenchmarkPipelineBare is the benchmark
+// dominated by the trainer's inner loops.
 func BenchmarkTrainSequentialSuiteScale(b *testing.B) {
 	b.ReportAllocs()
 	// 13 workloads × ~160 standardized counters, the paper's scale.

@@ -349,6 +349,11 @@ func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector
 	return nil
 }
 
+// cancelCheckSteps is the sequential-training cancellation stride:
+// the context is polled every this many steps, bounding the latency
+// of a cancellation to a few hundred cheap weight updates.
+const cancelCheckSteps = 256
+
 // trainSequential runs the classic on-line SOM loop: at every step a
 // random sample is presented, its BMU located, and the BMU
 // neighbourhood pulled toward the sample with the Gaussian kernel
@@ -357,11 +362,6 @@ func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector
 // evenly spaced checkpoints recording the annealed learning rate and
 // radius — sequential training has no epochs, so checkpoints stand
 // in for them.
-// cancelCheckSteps is the sequential-training cancellation stride:
-// the context is polled every this many steps, bounding the latency
-// of a cancellation to a few hundred cheap weight updates.
-const cancelCheckSteps = 256
-
 func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.Vector, r *rng.Source, o *obs.Observer, sp *obs.Span) error {
 	interval := 0
 	if o.Active() {
@@ -371,7 +371,11 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 		}
 		o.Metrics().Counter("som.steps").Add(int64(c.Steps))
 	}
-	diff := vecmath.NewVector(m.dim) // scratch: x − w_i
+	floor := c.SigmaFinal
+	if floor <= 0 {
+		floor = sigmaFloor
+	}
+	kern := m.newKernelTable()
 	for n := 0; n < c.Steps; n++ {
 		if n%cancelCheckSteps == 0 {
 			if err := ctx.Err(); err != nil {
@@ -380,10 +384,6 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 		}
 		t := float64(n) / float64(c.Steps)
 		alpha := c.LearningDecay.value(c.Alpha0, alphaFloor, t)
-		floor := c.SigmaFinal
-		if floor <= 0 {
-			floor = sigmaFloor
-		}
 		sigma := c.RadiusDecay.value(c.Sigma0, floor, t)
 		if interval > 0 && n%interval == 0 {
 			o.Metrics().Gauge("som.alpha").Set(alpha)
@@ -392,33 +392,63 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 		}
 		x := samples[r.Intn(len(samples))]
 		br, bc := m.BMU(x)
-		m.updateNeighbourhood(x, br, bc, alpha, sigma, diff)
+		m.updateNeighbourhood(x, br, bc, alpha, sigma, kern)
 	}
 	return nil
+}
+
+// newKernelTable allocates updateNeighbourhood's per-step kernel
+// table, indexed by squared grid distance. No neighbourhood window
+// reaches past the grid, so the grid's extent bounds every index.
+func (m *Map) newKernelTable() []float64 {
+	return make([]float64, (m.rows-1)*(m.rows-1)+(m.cols-1)*(m.cols-1)+1)
 }
 
 // updateNeighbourhood applies the weight update around BMU (br, bc).
 // Units farther than cutoff·σ contribute a negligible kernel value
 // and are skipped; this bounds the work per step without changing
 // the result materially.
-func (m *Map) updateNeighbourhood(x vecmath.Vector, br, bc int, alpha, sigma float64, diff vecmath.Vector) {
+//
+// The squared grid distance d2 = dr²+dc² is an exact small integer,
+// so the kernel α·exp(−d2/2σ²) is computed once per distinct d2 and
+// memoized in kern (−1 marks an unset entry; kernel values are never
+// negative). Each unit is then updated in one fused pass,
+// w[j] += h·(x[j] − w[j]), whose operations and their order are
+// exactly those of a difference-vector pass followed by an AXPY pass,
+// so the weights are bit-identical to that two-pass form
+// (seqoracle_test.go, DESIGN.md §10).
+func (m *Map) updateNeighbourhood(x vecmath.Vector, br, bc int, alpha, sigma float64, kern []float64) {
 	const cutoff = 3.0
 	reach := int(math.Ceil(cutoff * sigma))
 	r0, r1 := maxInt(0, br-reach), minInt(m.rows-1, br+reach)
 	c0, c1 := maxInt(0, bc-reach), minInt(m.cols-1, bc+reach)
 	inv2s2 := 1 / (2 * sigma * sigma)
+	// fr, fc are the window's farthest row and column offsets from the
+	// BMU, so only the distances this window can produce are reset.
+	fr, fc := maxInt(br-r0, r1-br), maxInt(bc-c0, c1-bc)
+	kern = kern[:fr*fr+fc*fc+1]
+	for i := range kern {
+		kern[i] = -1
+	}
+	dim := len(x)
 	for gr := r0; gr <= r1; gr++ {
 		for gc := c0; gc <= c1; gc++ {
-			dr, dc := float64(gr-br), float64(gc-bc)
-			h := alpha * math.Exp(-(dr*dr+dc*dc)*inv2s2)
+			dr, dc := gr-br, gc-bc
+			d2 := dr*dr + dc*dc
+			h := kern[d2]
+			if h < 0 {
+				h = alpha * math.Exp(-float64(d2)*inv2s2)
+				kern[d2] = h
+			}
 			if h < 1e-9 {
 				continue
 			}
-			w := m.weights[gr*m.cols+gc]
-			for j := range w {
-				diff[j] = x[j] - w[j]
+			off := (gr*m.cols + gc) * dim
+			w := m.flat[off : off+dim]
+			w = w[:len(x)]
+			for j, xj := range x {
+				w[j] += h * (xj - w[j])
 			}
-			w.AXPYInPlace(h, diff)
 		}
 	}
 }
