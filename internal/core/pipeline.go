@@ -135,15 +135,19 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 		return nil, fmt.Errorf("core: pipeline cancelled: %w", err)
 	}
 	o := obs.Or(cfg.Obs)
+	if o.Active() {
+		o.Metrics().Counter("pipeline.runs").Add(1)
+		// Deferred ahead of root.End so it runs after the root span
+		// closes: ReadMemStats stops the world for up to hundreds of
+		// microseconds, which is observer overhead, not pipeline work,
+		// and would otherwise sit in the root span outside every stage.
+		defer o.Metrics().CaptureMemStats()
+	}
 	root := o.StartSpan("pipeline",
 		obs.KV("workloads", len(table.Rows)),
 		obs.KV("skip_som", cfg.SkipSOM),
 		obs.KV("version", obs.Version()))
 	defer root.End()
-	if o.Active() {
-		o.Metrics().Counter("pipeline.runs").Add(1)
-		defer o.Metrics().CaptureMemStats()
-	}
 	// Stage-boundary gauges: pipeline.stage counts entered stages
 	// (1=validate … 4=cluster) and pipeline.progress is the completed
 	// fraction, so a /metrics scrape of a long run shows where it is.
